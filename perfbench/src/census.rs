@@ -45,6 +45,7 @@ pub struct CensusWorld {
 }
 
 impl Workload for Census {
+    const CPU_BOUND: bool = false;
     type World = CensusWorld;
 
     fn setup(&self, seed: u64, clock: &mut PassClock) -> CensusWorld {

@@ -13,6 +13,7 @@
 //! reports the per-layer metrics of the traced ones, plus the tracing
 //! overhead and the wall time no span covers. See `perfbench/README.md`.
 
+mod calib;
 mod census;
 mod dnsprobe;
 mod layers;
@@ -30,7 +31,7 @@ use trace::{median, Tracer};
 /// At least this many set-ups are timed per run (extra ones after the
 /// passes when few passes fit in `--seconds`), so `setup_s` is a median
 /// of enough samples to be steady; a set-up takes well under a second.
-const MIN_SETUPS: usize = 9;
+const MIN_SETUPS: usize = 15;
 
 /// End-to-end metrics (`--trace 0`), with units, in output order.
 const END_TO_END: &[(&str, &str)] = &[
@@ -107,6 +108,10 @@ pub struct Measured {
 pub trait Workload {
     /// Everything the set-up builds.
     type World;
+    /// Whether set-up and pass are CPU-bound, so that their end-to-end
+    /// times and rates are reported at the reference host speed (see
+    /// `calib.rs`) rather than at whatever speed the host ran.
+    const CPU_BOUND: bool;
     /// Generate inputs, spawn servers, warm up.
     fn setup(&self, seed: u64, clock: &mut PassClock) -> Self::World;
     /// The timed work plus its checks.
@@ -229,6 +234,9 @@ fn drive<W: Workload>(workload: &W, args: &Args) -> Outcome {
     let mut plain: Vec<PassResult> = Vec::new();
     let mut traced: Vec<PassResult> = Vec::new();
     let mut first_pass_rss = None;
+    // Kernel rounds timed after each untraced pass and extra set-up.
+    let calibrate = W::CPU_BOUND && !args.trace;
+    let mut host_rounds: Vec<f64> = Vec::new();
     let mut run = 0u32;
     // Start another pass only while it is expected to end within the
     // budget, so a run lasts about `--seconds` however long passes are.
@@ -244,6 +252,9 @@ fn drive<W: Workload>(workload: &W, args: &Args) -> Outcome {
             first_pass_rss = trace::peak_rss_mib();
         }
         plain.push(result);
+        if calibrate {
+            host_rounds.extend(calib::round_s());
+        }
         if args.trace {
             run += 1;
             let result = one_pass(workload, args.seed, run, &tracer);
@@ -262,7 +273,20 @@ fn drive<W: Workload>(workload: &W, args: &Args) -> Outcome {
         let world = workload.setup(args.seed, &mut clock);
         setups.push(t.elapsed().as_secs_f64());
         drop(world);
+        if calibrate {
+            host_rounds.extend(calib::round_s());
+        }
     }
+    // How many times slower than the reference speed the host ran; 1 for
+    // workloads reported as measured, or when no calibration could run.
+    let slowdown = if host_rounds.is_empty() {
+        if calibrate {
+            eprintln!("[perfbench] no calibration ran: other threads stayed alive between passes");
+        }
+        1.0
+    } else {
+        median(&host_rounds) / calib::REFERENCE_S
+    };
 
     let all = plain.iter().chain(&traced);
     let attempted: u64 = all.clone().map(|p| p.measured.attempted).sum();
@@ -318,9 +342,24 @@ fn drive<W: Workload>(workload: &W, args: &Args) -> Outcome {
                 other => unreachable!("unknown end-to-end metric {other}"),
             }
         };
+        if calibrate {
+            println!(
+                "# host_slowdown = {slowdown} ({} calibrations)",
+                host_rounds.len()
+            );
+        }
         END_TO_END
             .iter()
-            .map(|&(name, unit)| (name, value(name), unit))
+            .map(|&(name, unit)| {
+                let measured = value(name);
+                let reported = match name {
+                    "setup_s" | "wall_s" => measured / slowdown,
+                    "rate_per_s" => measured * slowdown,
+                    _ => measured,
+                };
+                println!("# measured {name} = {measured} {unit}");
+                (name, reported, unit)
+            })
             .collect()
     };
 

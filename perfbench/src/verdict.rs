@@ -65,6 +65,7 @@ pub struct ServedWorld {
     resolver: Arc<dyn Resolver>,
     domains: Vec<DomainName>,
     vantage_ips: Vec<IpAddr>,
+    plans: Plans,
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -101,15 +102,10 @@ struct Plans {
     open: Vec<QuerySpec>,
 }
 
-fn plans(w: &ServedWorld, seed: u64) -> Plans {
+fn plans(domains: &[DomainName], ips: &[IpAddr], seed: u64) -> Plans {
     let serial_end = SERIAL_QUERIES;
     let pipelined_end = serial_end + PIPELINED_QUERIES;
-    let mut all = blend(
-        &w.domains,
-        &w.vantage_ips,
-        pipelined_end + OPEN_LOOP_QUERIES,
-        seed,
-    );
+    let mut all = blend(domains, ips, pipelined_end + OPEN_LOOP_QUERIES, seed);
     let open = all.split_off(pipelined_end);
     let pipelined = all.split_off(serial_end);
     Plans {
@@ -180,6 +176,7 @@ fn climb_ladder(w: &ServedWorld, seed: u64) -> f64 {
 }
 
 impl Workload for VerdictServiceLoad {
+    const CPU_BOUND: bool = true;
     type World = ServedWorld;
 
     fn setup(&self, seed: u64, clock: &mut PassClock) -> ServedWorld {
@@ -210,11 +207,14 @@ impl Workload for VerdictServiceLoad {
                 VerdictService::spawn(served, ServiceConfig::with_workers(WORKERS))
             })
             .expect("the verdict service binds loopback");
+        let vantage_ips: Vec<IpAddr> = vantages.iter().map(|v| IpAddr::V4(v.ip)).collect();
+        let plans = plans(&world.domains, &vantage_ips, seed);
         let w = ServedWorld {
             service,
             resolver,
             domains: world.domains,
-            vantage_ips: vantages.iter().map(|v| IpAddr::V4(v.ip)).collect(),
+            vantage_ips,
+            plans,
         };
         let warm = build_plan(
             TrafficMix::HotSkew,
@@ -232,7 +232,7 @@ impl Workload for VerdictServiceLoad {
     }
 
     fn run(&self, w: ServedWorld, seed: u64, clock: &mut PassClock) -> Measured {
-        let p = plans(&w, seed);
+        let p = &w.plans;
         let addr = w.service.addr();
         let serial = clock
             .stage("service.serial", || {
