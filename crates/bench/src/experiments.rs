@@ -1100,7 +1100,8 @@ pub fn spoof_matrix(denominator: u64, seed: u64, config: CrawlConfig) -> (String
         let mta_allowed = !provider.mta_requires_auth;
         let smtp_ok = web_allowed && customer_matrix.vantages[0].pass > 0;
         let mta_ok = mta_allowed && customer_matrix.vantages[1].pass > 0;
-        let success = SpoofSuccess::from_paths(smtp_ok, mta_ok);
+        let open = |ok: bool| ok.then_some(StopLayer::None);
+        let success = SpoofSuccess::from_stops(open(smtp_ok), open(mta_ok));
         // Customers spoofable by ≥1 *permitted* path: the per-customer
         // union when both paths are open (spoofable_shared counts pass
         // from either vantage), one vantage's pass count when only one

@@ -654,6 +654,7 @@ impl Reactor {
         // Loopback connects complete synchronously in-kernel; the
         // nonblocking part that matters is the write/read exchange.
         let stream = match TcpStream::connect(server).and_then(|s| {
+            s.set_nodelay(true)?;
             s.set_nonblocking(true)?;
             Ok(s)
         }) {

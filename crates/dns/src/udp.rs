@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use nix::sys::socket::{recv_from_batch, send_to_batch, RecvSlot, SendPacket};
 use parking_lot::Mutex;
-use spf_types::DomainName;
+use spf_types::{AcceptLoop, DomainName};
 
 use crate::record::{Question, RecordType, ResourceRecord};
 use crate::resolver::{DnsError, Resolver};
@@ -49,7 +49,8 @@ pub struct UdpNameServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
-    tcp_handle: Option<JoinHandle<()>>,
+    /// Stopped (after the UDP thread) when the server drops.
+    _tcp: AcceptLoop,
     answered: Arc<AtomicU64>,
     tcp_answered: Arc<AtomicU64>,
 }
@@ -60,6 +61,9 @@ impl UdpNameServer {
         let socket = UdpSocket::bind(("127.0.0.1", 0))?;
         socket.set_read_timeout(Some(Duration::from_millis(25)))?;
         let addr = socket.local_addr()?;
+        // RFC 7766 companion listener on the same port, bound before the
+        // UDP thread starts so a failed bind leaves no thread behind.
+        let tcp_listener = TcpListener::bind(addr)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let answered = Arc::new(AtomicU64::new(0));
         let thread_shutdown = Arc::clone(&shutdown);
@@ -77,23 +81,19 @@ impl UdpNameServer {
                     thread_answered,
                 );
             })?;
-        // RFC 7766 companion listener on the same port. TCP responses are
-        // never truncated.
-        let tcp_listener = TcpListener::bind(addr)?;
-        tcp_listener.set_nonblocking(true)?;
-        let tcp_shutdown = Arc::clone(&shutdown);
+        // TCP responses are never truncated; connections are served
+        // inline, one at a time.
         let tcp_answered = Arc::new(AtomicU64::new(0));
         let tcp_counter = Arc::clone(&tcp_answered);
-        let tcp_handle = std::thread::Builder::new()
-            .name("tcp-nameserver".into())
-            .spawn(move || {
-                serve_tcp_loop(tcp_listener, store, tcp_shutdown, tcp_counter);
-            })?;
+        let tcp = AcceptLoop::spawn("tcp-nameserver", tcp_listener, move |stream, _| {
+            let _ = serve_tcp_connection(stream, &store, &tcp_counter);
+            None
+        })?;
         Ok(UdpNameServer {
             addr,
             shutdown,
             handle: Some(handle),
-            tcp_handle: Some(tcp_handle),
+            _tcp: tcp,
             answered,
             tcp_answered,
         })
@@ -120,28 +120,6 @@ impl Drop for UdpNameServer {
         self.shutdown.store(true, Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
-        }
-        if let Some(h) = self.tcp_handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn serve_tcp_loop(
-    listener: TcpListener,
-    store: Arc<ZoneStore>,
-    shutdown: Arc<AtomicBool>,
-    answered: Arc<AtomicU64>,
-) {
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = serve_tcp_connection(stream, &store, &answered);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
         }
     }
 }
@@ -178,16 +156,11 @@ fn serve_tcp_connection(
             Ok(b) => b,
             Err(_) => return Ok(()),
         };
-        let len: u16 = encoded
-            .len()
-            .try_into()
-            .map_err(|_| std::io::Error::other("response exceeds TCP message size"))?;
+        let framed = length_prefixed(&encoded)?;
         // Count before the reply leaves: otherwise a client that has
         // already received the response can observe a stale counter.
         answered.fetch_add(1, Ordering::Relaxed);
-        stream.write_all(&len.to_be_bytes())?;
-        stream.write_all(&encoded)?;
-        stream.flush()?;
+        stream.write_all(&framed)?;
     }
 }
 
@@ -361,6 +334,18 @@ impl UdpResolver {
     }
 }
 
+/// An RFC 7766 message with its 2-byte length prefix, as one buffer: a
+/// separate write for the prefix would wait out Nagle plus the peer's
+/// delayed ACK.
+fn length_prefixed(message: &[u8]) -> std::io::Result<Vec<u8>> {
+    let len = u16::try_from(message.len())
+        .map_err(|_| std::io::Error::other("message exceeds TCP message size"))?;
+    let mut buf = Vec::with_capacity(message.len() + 2);
+    buf.extend_from_slice(&len.to_be_bytes());
+    buf.extend_from_slice(message);
+    Ok(buf)
+}
+
 /// One length-prefixed RFC 7766 query over TCP — the truncation fallback
 /// path shared by [`UdpResolver`] and [`crate::fleet::WireResolver`].
 pub(crate) fn tcp_query(
@@ -372,18 +357,14 @@ pub(crate) fn tcp_query(
 ) -> Result<Vec<ResourceRecord>, DnsError> {
     let to_net = |e: std::io::Error| DnsError::Network(format!("tcp: {e}"));
     let mut stream = TcpStream::connect(server).map_err(to_net)?;
+    stream.set_nodelay(true).map_err(to_net)?;
     stream
         .set_read_timeout(Some(timeout.max(Duration::from_millis(250))))
         .map_err(to_net)?;
     let msg = Message::query(id, Question::new(name.clone(), rtype));
     let bytes = wire::encode(&msg).map_err(|e| DnsError::Network(e.to_string()))?;
-    let len: u16 = bytes
-        .len()
-        .try_into()
-        .map_err(|_| DnsError::Network("query exceeds TCP message size".into()))?;
-    stream.write_all(&len.to_be_bytes()).map_err(to_net)?;
-    stream.write_all(&bytes).map_err(to_net)?;
-    stream.flush().map_err(to_net)?;
+    let framed = length_prefixed(&bytes).map_err(to_net)?;
+    stream.write_all(&framed).map_err(to_net)?;
     let mut len_buf = [0u8; 2];
     stream.read_exact(&mut len_buf).map_err(|e| {
         if e.kind() == std::io::ErrorKind::WouldBlock || e.kind() == std::io::ErrorKind::TimedOut {

@@ -3,9 +3,11 @@
 //! Architecture (each layer reuses an idiom an earlier PR established):
 //!
 //! * **Sockets** — one UDP socket and one TCP listener on the same
-//!   ephemeral loopback port, drained by background threads with short
-//!   read timeouts and an `Arc<AtomicBool>` shutdown flag: the `dns`
-//!   crate's [`UdpNameServer`](spf_dns::UdpNameServer) shape.
+//!   ephemeral loopback port: the `dns` crate's
+//!   [`UdpNameServer`](spf_dns::UdpNameServer) shape. The UDP socket and
+//!   each TCP connection are drained by background threads with short
+//!   read timeouts and an `Arc<AtomicBool>` shutdown flag; the listener
+//!   blocks in the shared [`AcceptLoop`].
 //! * **Queue** — listeners decode frames and `try_send` jobs into one
 //!   bounded channel; a full queue yields an immediate typed
 //!   `overloaded` response, never a silently dropped datagram.
@@ -39,7 +41,7 @@ use spf_core::{
     CompileConfig, CompilerStats, EvalContext, EvalPolicy, Evaluation,
 };
 use spf_dns::{Clock, Resolver, SystemClock};
-use spf_types::{render_stats, Backend, Evaluator, StatItem, Stats};
+use spf_types::{render_stats, AcceptLoop, Backend, Evaluator, StatItem, Stats};
 
 use crate::cache::{CompiledPolicyCache, ServiceVerdictCache, TtlLruConfig, TtlLruStats};
 use crate::histogram::{LatencySnapshot, LogHistogram};
@@ -407,39 +409,6 @@ fn udp_listen_loop(
     }
 }
 
-fn tcp_accept_loop(
-    listener: TcpListener,
-    job_tx: channel::Sender<Job>,
-    counters: Arc<Counters>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let tx = job_tx.clone();
-                let counters = Arc::clone(&counters);
-                let shutdown = Arc::clone(&shutdown);
-                if let Ok(handle) = std::thread::Builder::new()
-                    .name("svc-tcp-conn".into())
-                    .spawn(move || {
-                        let _ = tcp_connection_loop(stream, tx, counters, shutdown);
-                    })
-                {
-                    connections.push(handle);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
-        }
-    }
-    for handle in connections {
-        let _ = handle.join();
-    }
-}
-
 fn tcp_connection_loop(
     mut stream: TcpStream,
     job_tx: channel::Sender<Job>,
@@ -447,7 +416,6 @@ fn tcp_connection_loop(
     shutdown: Arc<AtomicBool>,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(25)))?;
-    stream.set_nodelay(true)?;
     // Responses go through a shared, mutex-guarded clone so pipelined
     // queries can complete out of order while this thread keeps reading.
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
@@ -594,7 +562,7 @@ pub struct VerdictService {
     compiled: Option<Arc<CompiledBackend>>,
     auth: Arc<AuthCache>,
     udp_handle: Option<JoinHandle<()>>,
-    tcp_handle: Option<JoinHandle<()>>,
+    tcp: Option<AcceptLoop>,
     workers: Vec<JoinHandle<()>>,
     job_tx: Option<channel::Sender<Job>>,
 }
@@ -617,7 +585,6 @@ impl VerdictService {
         socket.set_read_timeout(Some(Duration::from_millis(25)))?;
         let addr = socket.local_addr()?;
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(Counters::default());
@@ -640,11 +607,21 @@ impl VerdictService {
             let shutdown = Arc::clone(&shutdown);
             move || udp_listen_loop(socket, job_tx, counters, shutdown)
         })?;
-        let tcp_handle = std::thread::Builder::new().name("svc-tcp".into()).spawn({
+        let tcp = AcceptLoop::spawn("svc-tcp", listener, {
             let job_tx = job_tx.clone();
             let counters = Arc::clone(&counters);
             let shutdown = Arc::clone(&shutdown);
-            move || tcp_accept_loop(listener, job_tx, counters, shutdown)
+            move |stream, _| {
+                let tx = job_tx.clone();
+                let counters = Arc::clone(&counters);
+                let shutdown = Arc::clone(&shutdown);
+                std::thread::Builder::new()
+                    .name("svc-tcp-conn".into())
+                    .spawn(move || {
+                        let _ = tcp_connection_loop(stream, tx, counters, shutdown);
+                    })
+                    .ok()
+            }
         })?;
 
         let mut workers = Vec::with_capacity(config.workers.max(1));
@@ -679,7 +656,7 @@ impl VerdictService {
             compiled,
             auth,
             udp_handle: Some(udp_handle),
-            tcp_handle: Some(tcp_handle),
+            tcp: Some(tcp),
             workers,
             job_tx: Some(job_tx),
         })
@@ -724,9 +701,9 @@ impl VerdictService {
         if let Some(h) = self.udp_handle.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.tcp_handle.take() {
-            let _ = h.join();
-        }
+        // Dropping the accept loop joins its connection threads, which
+        // see the flag within one read timeout.
+        self.tcp = None;
         // With the listeners (and their connection threads) joined, ours
         // is the last sender: dropping it lets workers finish the queue
         // and observe the disconnect.

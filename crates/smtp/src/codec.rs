@@ -162,7 +162,7 @@ impl fmt::Display for Command {
 pub struct Reply {
     /// Three-digit status code.
     pub code: u16,
-    /// Reply text (single line).
+    /// Reply text; the lines of a multi-line reply are joined with `\n`.
     pub text: String,
 }
 
@@ -180,15 +180,19 @@ impl Reply {
         self.code < 400
     }
 
-    /// Parse "250 OK" style lines.
+    /// Parse one "250 OK" style line. The line comes from the peer, so
+    /// any input yields `None` rather than a panic.
     pub fn parse(line: &str) -> Option<Reply> {
         let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.len() < 3 {
+        let code = trimmed.get(..3)?;
+        if !code.bytes().all(|b| b.is_ascii_digit()) {
             return None;
         }
-        let code: u16 = trimmed[..3].parse().ok()?;
-        let text = trimmed[3..].trim_start_matches([' ', '-']).to_string();
-        Some(Reply { code, text })
+        let text = trimmed.get(3..)?.trim_start_matches([' ', '-']).to_string();
+        Some(Reply {
+            code: code.parse().ok()?,
+            text,
+        })
     }
 }
 
@@ -284,5 +288,17 @@ mod tests {
         assert_eq!(r.code, 550);
         assert!(!r.is_positive());
         assert!(Reply::parse("xx").is_none());
+    }
+
+    #[test]
+    fn reply_parse_rejects_multibyte_and_signed_codes_without_panicking() {
+        // Byte 3 inside a multibyte char: slicing at 3 would panic.
+        assert!(Reply::parse("25é OK").is_none());
+        assert!(Reply::parse("a€").is_none());
+        assert!(Reply::parse("€").is_none());
+        assert!(Reply::parse("+25 OK").is_none());
+        let r = Reply::parse("250 é OK\r\n").unwrap();
+        assert_eq!((r.code, r.text.as_str()), (250, "é OK"));
+        assert_eq!(Reply::parse("250").unwrap().text, "");
     }
 }

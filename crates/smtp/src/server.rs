@@ -15,9 +15,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -27,7 +25,7 @@ use spf_core::{
     EvalContext, EvalPolicy, SpfResult,
 };
 use spf_dns::Resolver;
-use spf_types::DomainName;
+use spf_types::{AcceptLoop, DomainName};
 
 use crate::codec::{Command, Reply};
 
@@ -113,11 +111,10 @@ pub struct ReceivedMessage {
     pub dmarc_result: DmarcResult,
 }
 
-/// A running receiving MTA.
+/// A running receiving MTA. Dropping it stops accepting and joins every
+/// session.
 pub struct SmtpServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    accept: AcceptLoop,
     received: Arc<Mutex<Vec<ReceivedMessage>>>,
 }
 
@@ -129,67 +126,30 @@ impl SmtpServer {
         config: MtaConfig,
     ) -> std::io::Result<SmtpServer> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let received = Arc::new(Mutex::new(Vec::new()));
-        let t_shutdown = Arc::clone(&shutdown);
         let t_received = Arc::clone(&received);
-        let handle = std::thread::Builder::new()
-            .name("smtp-server".into())
-            .spawn(move || {
-                let mut sessions: Vec<JoinHandle<()>> = Vec::new();
-                while !t_shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, peer)) => {
-                            let resolver = Arc::clone(&resolver);
-                            let config = config.clone();
-                            let received = Arc::clone(&t_received);
-                            sessions.push(
-                                std::thread::Builder::new()
-                                    .name("smtp-session".into())
-                                    .spawn(move || {
-                                        let _ =
-                                            serve_session(stream, peer, resolver, config, received);
-                                    })
-                                    .expect("spawn session"),
-                            );
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
-                    }
-                }
-                for s in sessions {
-                    let _ = s.join();
-                }
-            })?;
-        Ok(SmtpServer {
-            addr,
-            shutdown,
-            handle: Some(handle),
-            received,
-        })
+        let accept = AcceptLoop::spawn("smtp-server", listener, move |stream, peer| {
+            let resolver = Arc::clone(&resolver);
+            let config = config.clone();
+            let received = Arc::clone(&t_received);
+            std::thread::Builder::new()
+                .name("smtp-session".into())
+                .spawn(move || {
+                    let _ = serve_session(stream, peer, resolver, config, received);
+                })
+                .ok()
+        })?;
+        Ok(SmtpServer { accept, received })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr()
     }
 
     /// Messages accepted so far.
     pub fn received(&self) -> Vec<ReceivedMessage> {
         self.received.lock().clone()
-    }
-}
-
-impl Drop for SmtpServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -267,10 +227,9 @@ fn serve_session<R: Resolver>(
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let send = |w: &mut TcpStream, reply: Reply| -> std::io::Result<()> {
-        write!(w, "{reply}\r\n")?;
-        w.flush()
-    };
+    // One write per reply: split writes would wait out Nagle plus the
+    // peer's delayed ACK on every round trip.
+    let send = |w: &mut TcpStream, reply: Reply| w.write_all(format!("{reply}\r\n").as_bytes());
     send(
         &mut writer,
         Reply::new(220, format!("{} ESMTP", config.hostname)),
@@ -500,6 +459,24 @@ mod tests {
         assert_eq!(
             msgs[0].client_ip,
             IpAddr::from(Ipv4Addr::new(198, 51, 100, 7))
+        );
+    }
+
+    #[test]
+    fn ehlo_round_trips_do_not_stall_on_tcp_defaults() {
+        // Split writes without TCP_NODELAY wait out Nagle plus the peer's
+        // delayed ACK (tens of ms) on every round trip.
+        let store = world();
+        let server = server(&store);
+        let mut client = SmtpClient::connect(server.addr()).unwrap();
+        let start = std::time::Instant::now();
+        for _ in 0..50 {
+            assert_eq!(client.ehlo("h.example").unwrap().code, 250);
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(500),
+            "50 EHLO round trips took {elapsed:?}"
         );
     }
 

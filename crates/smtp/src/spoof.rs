@@ -39,29 +39,22 @@ pub enum SpoofSuccess {
 }
 
 impl SpoofSuccess {
-    /// The Table 5 label for a pair of delivery-path outcomes: direct
-    /// SMTP from the web space, and relay through the provider MTA. The
-    /// spoofability-matrix engine reuses this to label per-provider
-    /// verdict pairs exactly like the live case study does.
-    #[deprecated(note = "use `from_stops`; the layered pipeline reports which layer closed a path")]
-    pub fn from_paths(smtp_ok: bool, mta_ok: bool) -> SpoofSuccess {
-        match (smtp_ok, mta_ok) {
+    /// The Table 5 label from per-path stop layers: direct SMTP from the
+    /// web space, and relay through the provider MTA. `None` means the
+    /// delivery path is unavailable at the infrastructure level
+    /// (outbound port 25 filtered, MTA sender auth), and a path only
+    /// counts as open when no auth layer stopped it —
+    /// [`StopLayer::None`]. The spoofability-matrix engine reuses this to
+    /// label per-provider verdict pairs exactly like the live case study
+    /// does.
+    pub fn from_stops(smtp: Option<StopLayer>, mta: Option<StopLayer>) -> SpoofSuccess {
+        let open = |stop: Option<StopLayer>| stop == Some(StopLayer::None);
+        match (open(smtp), open(mta)) {
             (true, true) => SpoofSuccess::SmtpAndMta,
             (false, true) => SpoofSuccess::MtaOnly,
             (true, false) => SpoofSuccess::SmtpOnly,
             (false, false) => SpoofSuccess::None,
         }
-    }
-
-    /// The Table 5 label from per-path stop layers (the layered
-    /// pipeline's spelling of [`SpoofSuccess::from_paths`]): `None`
-    /// means the delivery path is unavailable at the infrastructure
-    /// level (outbound port 25 filtered, MTA sender auth), and a path
-    /// only counts as open when no auth layer stopped it —
-    /// [`StopLayer::None`].
-    pub fn from_stops(smtp: Option<StopLayer>, mta: Option<StopLayer>) -> SpoofSuccess {
-        #[allow(deprecated)]
-        SpoofSuccess::from_paths(smtp == Some(StopLayer::None), mta == Some(StopLayer::None))
     }
 
     /// True when at least one delivery path produced an SPF-passing

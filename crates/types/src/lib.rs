@@ -11,7 +11,8 @@
 //! the typed engine selection ([`Backend`], [`Transport`], [`Evaluator`],
 //! [`EngineBuilder`]) every pipeline assembler consumes, and the shared
 //! telemetry formatter ([`Stats`], [`render_stats`]) every CLI counter
-//! line renders through.
+//! line renders through. One piece of socket plumbing rides along: the
+//! [`AcceptLoop`] every TCP server in the workspace accepts through.
 //!
 //! Reproduces the data model underlying *Lazy Gatekeepers: A Large-Scale
 //! Study on SPF Configuration in the Wild* (Czybik, Horlboge, Rieck —
@@ -27,6 +28,7 @@ mod interval;
 mod ipset;
 mod ipv6set;
 mod macrostring;
+mod net;
 mod overlap;
 mod stats;
 mod term;
@@ -41,6 +43,7 @@ pub use domain::{
 pub use ipset::Ipv4Set;
 pub use ipv6set::Ipv6Set;
 pub use macrostring::{MacroError, MacroExpand, MacroLetter, MacroString, MacroToken};
+pub use net::AcceptLoop;
 pub use overlap::{CoverageMap, WeightedRange, WeightedRanges};
 pub use stats::{render_stats, StatItem, StatValue, Stats};
 pub use term::{Directive, Mechanism, Modifier, Qualifier, SpfRecord, Term};

@@ -4,7 +4,8 @@
 # cannot drift:
 #
 #   [build-and-test]  cargo build --release; compiler differential
-#                     suites (fail-fast); cargo test -q;
+#                     suites and the SMTP socket suite (fail-fast);
+#                     cargo test -q;
 #                     cargo build --benches --examples; docs smoke
 #   [lint]            cargo clippy --all-targets -- -D warnings;
 #                     cargo fmt --check
@@ -33,6 +34,11 @@ cargo build --release
 # rides inside `cargo test -q` below).
 echo "== [build-and-test] compiler differential suites"
 cargo test -q --test proptest_compiler --test rfc_conformance
+
+# The SMTP crate's suite includes a 50-round-trip latency check, so a
+# socket-stall regression (Nagle plus delayed ACK) fails here in seconds.
+echo "== [build-and-test] SMTP socket suite"
+cargo test -q -p spf-smtp
 
 echo "== [build-and-test] cargo test -q"
 cargo test -q
